@@ -28,7 +28,12 @@ from repro.core.constraints import NO_REUSE
 from repro.core.laxity import calculate_laxity
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.schedule import Schedule
-from repro.core.scheduler import OFFSET_FIRST, OFFSET_LEAST_LOADED, find_slot
+from repro.core.scheduler import (
+    OFFSET_FIRST,
+    OFFSET_LEAST_LOADED,
+    find_slot,
+    pick_offset,
+)
 from repro.core.transmissions import RequestWindow, TransmissionRequest
 from repro.flows.flow import Flow
 from repro.network.graphs import ChannelReuseGraph
@@ -67,7 +72,7 @@ class ConservativeReusePolicy:
     offset_rule: str = OFFSET_LEAST_LOADED
     name: str = "RC"
     _rho: float = field(default=NO_REUSE, repr=False)
-    # Fused-path heuristic: did the previous placement descend past its
+    # Vector-probe heuristic: did the previous placement descend past its
     # first probe?  Contention is bursty, so the last placement predicts
     # whether the O(1)-per-probe laxity table will pay for itself.
     _table_hint: bool = field(default=False, repr=False)
@@ -99,38 +104,42 @@ class ConservativeReusePolicy:
         placement found is used even if its laxity stayed negative (the
         laxity estimate is conservative); the engine rejects it only if
         it misses the deadline — which ``findSlot`` already enforces.
-        """
-        if not _obs.ENABLED and \
-                _kernel.active_kernel() == _kernel.KERNEL_VECTOR:
-            return self._place_fused(schedule, reuse_graph, request,
-                                     earliest, remaining)
 
+        The descent is written once.  The active kernel supplies only
+        the per-ρ probe and the laxity evaluation (:class:`_VectorProbe`
+        for the vector kernel, :class:`_ReferenceProbe` otherwise), and
+        a live recorder observes whichever runs without choosing it.
+        """
         if self.rho_reset == RHO_RESET_TRANSMISSION:
             self._rho = NO_REUSE
         rho = self._rho
+        rho_t = self.rho_t
 
         recorder = _obs.RECORDER if _obs.ENABLED else None
         prov = recorder.provenance if recorder is not None else None
         if recorder is not None:
             recorder.count("policy.RC.place_calls")
+        probe_type = (_VectorProbe
+                      if _kernel.active_kernel() == _kernel.KERNEL_VECTOR
+                      else _ReferenceProbe)
+        probe = probe_type(self, schedule, reuse_graph, request, earliest,
+                           remaining, recorder)
         laxity_triggered = False
-        best: Optional[Tuple[int, int]] = None
+        best_slot: Optional[int] = None
         best_rho = rho
-        while rho >= self.rho_t:
-            found = find_slot(schedule, reuse_graph, request, rho,
-                              earliest, self.offset_rule)
-            if found is not None:
-                best = found
+        while rho >= rho_t:
+            slot = probe.find(rho)
+            if slot is not None:
+                best_slot = slot
                 best_rho = rho
-                laxity = calculate_laxity(
-                    schedule, found[0], request.deadline_slot, remaining)
+                laxity = probe.laxity(slot)
                 if recorder is not None:
                     recorder.event(
                         "laxity_eval", flow=request.flow_id,
-                        hop=request.hop_index, slot=found[0],
+                        hop=request.hop_index, slot=slot,
                         rho=_jsonable_rho(rho), laxity=laxity)
                     if prov is not None:
-                        prov.record_laxity(found[0], rho, laxity)
+                        prov.record_laxity(slot, rho, laxity)
                     if laxity < 0 and not laxity_triggered:
                         laxity_triggered = True
                         recorder.count("rc.laxity_triggers")
@@ -138,34 +147,25 @@ class ConservativeReusePolicy:
                     break
             if rho == NO_REUSE:
                 next_rho = reuse_graph.diameter()
-                if next_rho < self.rho_t:
+                if next_rho < rho_t:
                     # Degenerate reuse graph: no finite hop count can be
                     # tried; stick with the no-reuse placement.
                     rho = next_rho
                     break
-                if recorder is not None:
-                    recorder.count("rc.reuse_fallbacks")
-                    recorder.event(
-                        "rc_fallback", flow=request.flow_id,
-                        hop=request.hop_index,
-                        from_rho=_jsonable_rho(rho),
-                        to_rho=_jsonable_rho(next_rho))
-                    if prov is not None:
-                        prov.record_descent(rho, next_rho)
-                rho = next_rho
             else:
-                if recorder is not None and rho - 1 >= self.rho_t:
-                    recorder.count("rc.reuse_fallbacks")
-                    recorder.event(
-                        "rc_fallback", flow=request.flow_id,
-                        hop=request.hop_index,
-                        from_rho=_jsonable_rho(rho),
-                        to_rho=_jsonable_rho(rho - 1))
-                    if prov is not None:
-                        prov.record_descent(rho, rho - 1)
-                rho -= 1
+                next_rho = rho - 1
+            if recorder is not None and next_rho >= rho_t:
+                recorder.count("rc.reuse_fallbacks")
+                recorder.event(
+                    "rc_fallback", flow=request.flow_id,
+                    hop=request.hop_index, from_rho=_jsonable_rho(rho),
+                    to_rho=_jsonable_rho(next_rho))
+                if prov is not None:
+                    prov.record_descent(rho, next_rho)
+            rho = next_rho
 
-        if recorder is not None and best is not None and best_rho != NO_REUSE:
+        if recorder is not None and best_slot is not None \
+                and best_rho != NO_REUSE:
             recorder.observe("rc.fallback_rho", int(best_rho),
                              _FALLBACK_RHO_BUCKETS)
 
@@ -176,160 +176,191 @@ class ConservativeReusePolicy:
             # ρ = λ_R < ρ_t), but Algorithm 1 keeps ρ monotone
             # non-increasing within a flow and never below ρ_t — in
             # particular a flow never retries ρ = ∞ after a descent ran
-            # dry.  ``_place_fused`` mirrors this exactly, including its
-            # ``earliest > deadline`` early return; the differential
-            # fuzzer (repro.validate.fuzz) asserts the parity.
-            self._rho = max(rho, self.rho_t)
-        else:
-            self._rho = NO_REUSE
-        return best
-
-    def _place_fused(self, schedule: Schedule,
-                     reuse_graph: ChannelReuseGraph,
-                     request: TransmissionRequest, earliest: int,
-                     remaining: Sequence[TransmissionRequest],
-                     ) -> Optional[Tuple[int, int]]:
-        """Algorithm 1's whole ρ descent against precomputed windows.
-
-        The stepwise loop above re-runs ``findSlot`` and
-        ``calculateLaxity`` at every ρ; with the vectorized kernel the
-        per-call work is tiny but the call overhead is not.  This path
-        (taken when observability is off, so no per-call events need
-        firing) evaluates each ρ probe against the kernel's
-        incrementally-maintained best-distance view: one running maximum
-        per placement, then a single ``searchsorted`` per ρ.  Laxity is
-        evaluated directly for the first probe (the common immediate
-        accept); if the descent continues, Equation 1 becomes a
-        suffix-cumsum lookup so every further probe costs O(1).
-        Placements are identical to the stepwise loop: both pick the
-        earliest feasible slot per ρ and descend under the same laxity
-        rule.
-        """
-        if self.rho_reset == RHO_RESET_TRANSMISSION:
-            self._rho = NO_REUSE
-        rho = self._rho
-        rho_t = self.rho_t
-        deadline = request.deadline_slot
-
-        if earliest > deadline:
-            # Every findSlot probe misses; the descent runs dry.  Mirror
-            # the stepwise loop's exit ρ for the flow-scoped reset: from
-            # ρ = ∞ it either breaks at a degenerate diameter (λ_R < ρ_t)
-            # or walks down past the floor to ρ_t - 1; from a persisted
-            # finite ρ it always exits at ρ_t - 1.  After the shared
-            # ``max(ρ, ρ_t)`` clamp every branch persists exactly ρ_t,
-            # so the flow never retries ρ = ∞ — matching the stepwise
-            # loop's exhausted-descent behaviour bit for bit.
-            if rho == NO_REUSE:
-                next_rho = reuse_graph.diameter()
-                rho = next_rho if next_rho < rho_t else rho_t - 1
-            else:
-                rho = rho_t - 1
-            self._rho = (max(rho, rho_t)
-                         if self.rho_reset == RHO_RESET_FLOW else NO_REUSE)
-            return None
-
-        sender, receiver = request.sender, request.receiver
-        width = deadline - earliest + 1
-        n_rem = len(remaining)
-        if n_rem:
-            if isinstance(remaining, RequestWindow):
-                senders = remaining.senders
-                receivers = remaining.receivers
-            else:
-                senders = np.fromiter((r.sender for r in remaining),
-                                      dtype=np.intp, count=n_rem)
-                receivers = np.fromiter((r.receiver for r in remaining),
-                                        dtype=np.intp, count=n_rem)
-        probes = 0            # laxity evaluations so far
-        lax = None            # Eq. 1 lookup, built on the second probe
-        prefix = None         # running max of best eligible distance
-
-        best_slot: Optional[int] = None
-        best_rho = rho
-        while rho >= rho_t:
-            found_slot = None
-            if rho == NO_REUSE:
-                free = schedule.nr_candidate_slots(sender, receiver,
-                                                   earliest, deadline)
-                rel = int(free.argmax())
-                if free[rel]:
-                    found_slot = earliest + rel
-            else:
-                if prefix is None:
-                    if self.offset_rule not in (OFFSET_FIRST,
-                                                OFFSET_LEAST_LOADED):
-                        raise ValueError(
-                            f"unknown offset rule: {self.offset_rule}")
-                    eligible = ~schedule.conflict_mask(sender, receiver,
-                                                       earliest, deadline)
-                    best = _kernel.best_reuse_distance(
-                        schedule, reuse_graph, sender, receiver,
-                        earliest, deadline)
-                    masked = np.where(eligible, best, np.int32(-1))
-                    prefix = np.maximum.accumulate(masked)
-                # prefix is non-decreasing, so the earliest slot whose
-                # best distance reaches ρ is a binary search away.
-                pos = int(prefix.searchsorted(rho, side="left"))
-                if pos < width:
-                    found_slot = earliest + pos
-            if found_slot is not None:
-                best_slot = found_slot
-                best_rho = rho
-                if n_rem == 0:
-                    break  # laxity = deadline - slot >= 0 always
-                if lax is None and probes == 0 and not self._table_hint:
-                    # One-slot evaluation for the common first-probe
-                    # accept; the lookup table only pays off on descent.
-                    window = schedule.busy_matrix()[
-                        :, found_slot + 1:deadline + 1]
-                    laxity = (deadline - found_slot - n_rem
-                              - int(np.count_nonzero(window[senders]
-                                                     | window[receivers])))
-                else:
-                    if lax is None:
-                        window = schedule.busy_matrix()[
-                            :, earliest:deadline + 1]
-                        blocked = (window[senders]
-                                   | window[receivers]).sum(axis=0)
-                        lax = ((deadline - earliest - n_rem)
-                               - np.arange(width, dtype=np.int64))
-                        # lax[i] -= sum(blocked[i+1:]) via a reversed
-                        # cumulative sum (the last slot has no suffix).
-                        lax[:-1] -= blocked[1:][::-1].cumsum()[::-1]
-                    laxity = int(lax[found_slot - earliest])
-                probes += 1
-                if laxity >= 0:
-                    break
-            if rho == NO_REUSE:
-                next_rho = reuse_graph.diameter()
-                if next_rho < rho_t:
-                    rho = next_rho
-                    break
-                rho = next_rho
-            else:
-                rho -= 1
-
-        if probes:
-            self._table_hint = probes > 1
-
-        if best_slot is None:
-            result = None
-        elif best_rho == NO_REUSE:
-            result = (best_slot, schedule.first_free_offset(best_slot))
-        else:
-            row = _kernel.min_reuse_distance(
-                schedule, reuse_graph, sender, receiver,
-                best_slot, best_slot)[0] >= best_rho
-            if self.offset_rule == OFFSET_FIRST:
-                result = (best_slot, int(np.argmax(row)))
-            else:
-                offsets = np.flatnonzero(row)
-                counts = schedule.occupancy()[0][best_slot, offsets]
-                result = (best_slot, int(offsets[int(np.argmin(counts))]))
-
-        if self.rho_reset == RHO_RESET_FLOW:
+            # dry.
             self._rho = max(rho, rho_t)
         else:
             self._rho = NO_REUSE
-        return result
+        if best_slot is None:
+            return None
+        return probe.cell(best_slot, best_rho)
+
+
+class _ReferenceProbe:
+    """Per-ρ probe through the paper's ``findSlot`` and
+    ``calculateLaxity`` — the reference oracle the vector probe must
+    match.  ``find_slot`` counts and narrates its own probes."""
+
+    __slots__ = ("schedule", "reuse_graph", "request", "earliest",
+                 "remaining", "offset_rule", "_offset")
+
+    def __init__(self, policy: ConservativeReusePolicy, schedule: Schedule,
+                 reuse_graph: ChannelReuseGraph,
+                 request: TransmissionRequest, earliest: int,
+                 remaining: Sequence[TransmissionRequest], recorder):
+        self.schedule = schedule
+        self.reuse_graph = reuse_graph
+        self.request = request
+        self.earliest = earliest
+        self.remaining = remaining
+        self.offset_rule = policy.offset_rule
+        self._offset = -1
+
+    def find(self, rho: float) -> Optional[int]:
+        """Earliest feasible slot at ``rho``, or None."""
+        found = find_slot(self.schedule, self.reuse_graph, self.request,
+                          rho, self.earliest, self.offset_rule)
+        if found is None:
+            return None
+        slot, self._offset = found
+        return slot
+
+    def laxity(self, slot: int) -> int:
+        """Equation 1 for a placement at ``slot``."""
+        return calculate_laxity(self.schedule, slot,
+                                self.request.deadline_slot, self.remaining)
+
+    def cell(self, slot: int, rho: float) -> Tuple[int, int]:
+        """The chosen cell: the descent's best placement is always its
+        last successful probe."""
+        return (slot, self._offset)
+
+
+class _VectorProbe:
+    """Per-ρ probe against precomputed windows (vector kernel).
+
+    The reference probe re-runs ``findSlot`` and ``calculateLaxity`` at
+    every ρ; with the vectorized kernel the per-call work is tiny but
+    the call overhead is not.  Here every finite-ρ probe is one
+    ``searchsorted`` into a running maximum of the link's best eligible
+    reuse distance, built once per placement.  Laxity is evaluated
+    directly for the first probe (the common immediate accept); if the
+    descent continues, Equation 1 becomes a suffix-cumsum lookup so
+    every further probe costs O(1).  Both pick the earliest feasible
+    slot per ρ, so placements are identical; with a live recorder the
+    probe also reports the counters and provenance ``find_slot`` would.
+    """
+
+    __slots__ = ("policy", "schedule", "reuse_graph", "request",
+                 "earliest", "deadline", "width", "recorder", "n_rem",
+                 "senders", "receivers", "eligible", "prefix", "lax",
+                 "probes")
+
+    def __init__(self, policy: ConservativeReusePolicy, schedule: Schedule,
+                 reuse_graph: ChannelReuseGraph,
+                 request: TransmissionRequest, earliest: int,
+                 remaining: Sequence[TransmissionRequest], recorder):
+        self.policy = policy
+        self.schedule = schedule
+        self.reuse_graph = reuse_graph
+        self.request = request
+        self.earliest = earliest
+        self.deadline = request.deadline_slot
+        self.width = self.deadline - earliest + 1
+        self.recorder = recorder
+        self.n_rem = n_rem = len(remaining)
+        if not n_rem:
+            self.senders = self.receivers = None
+        elif isinstance(remaining, RequestWindow):
+            self.senders = remaining.senders
+            self.receivers = remaining.receivers
+        else:
+            self.senders = np.fromiter((r.sender for r in remaining),
+                                       dtype=np.intp, count=n_rem)
+            self.receivers = np.fromiter((r.receiver for r in remaining),
+                                         dtype=np.intp, count=n_rem)
+        self.eligible = None  # ~conflict mask over the window
+        self.prefix = None    # running max of best eligible distance
+        self.lax = None       # Eq. 1 lookup, built on the second probe
+        self.probes = 0       # laxity evaluations so far
+
+    def find(self, rho: float) -> Optional[int]:
+        """Earliest feasible slot at ``rho``, or None."""
+        request = self.request
+        slot = None
+        if self.width <= 0:
+            pass  # the window closed before it opened
+        elif rho == NO_REUSE:
+            free = self.schedule.nr_candidate_slots(
+                request.sender, request.receiver, self.earliest,
+                self.deadline)
+            rel = int(free.argmax())
+            if free[rel]:
+                slot = self.earliest + rel
+        else:
+            if self.prefix is None:
+                if self.policy.offset_rule not in (OFFSET_FIRST,
+                                                   OFFSET_LEAST_LOADED):
+                    raise ValueError(
+                        f"unknown offset rule: {self.policy.offset_rule}")
+                self.eligible = ~self.schedule.conflict_mask(
+                    request.sender, request.receiver, self.earliest,
+                    self.deadline)
+                best = _kernel.best_reuse_distance(
+                    self.schedule, self.reuse_graph, request.sender,
+                    request.receiver, self.earliest, self.deadline)
+                self.prefix = np.maximum.accumulate(
+                    np.where(self.eligible, best, np.int32(-1)))
+            # prefix is non-decreasing, so the earliest slot whose best
+            # distance reaches ρ is a binary search away.
+            pos = int(self.prefix.searchsorted(rho, side="left"))
+            if pos < self.width:
+                slot = self.earliest + pos
+        if self.recorder is not None:
+            self._report(rho, slot)
+        return slot
+
+    def _report(self, rho: float, slot: Optional[int]) -> None:
+        """Count and narrate one probe exactly as ``find_slot`` does."""
+        recorder = self.recorder
+        recorder.count("scheduler.placements_tried")
+        if self.width > 0:
+            end = self.width if slot is None else slot - self.earliest + 1
+            scanned = (end if rho == NO_REUSE
+                       else int(np.count_nonzero(self.eligible[:end])))
+            if scanned:
+                recorder.count("scheduler.slots_scanned", scanned)
+        prov = recorder.provenance
+        if prov is not None:
+            result = None if slot is None else self.cell(slot, rho)
+            prov.record_probe(self.schedule, self.reuse_graph,
+                              self.request, rho, self.earliest,
+                              self.policy.offset_rule, result)
+
+    def laxity(self, slot: int) -> int:
+        """Equation 1 for a placement at ``slot``."""
+        deadline = self.deadline
+        n_rem = self.n_rem
+        if n_rem == 0:
+            return deadline - slot
+        if self.lax is None and self.probes == 0 \
+                and not self.policy._table_hint:
+            # One-slot evaluation for the common first-probe accept;
+            # the lookup table only pays off on descent.
+            window = self.schedule.busy_matrix()[:, slot + 1:deadline + 1]
+            laxity = (deadline - slot - n_rem
+                      - int(np.count_nonzero(window[self.senders]
+                                             | window[self.receivers])))
+        else:
+            if self.lax is None:
+                earliest = self.earliest
+                window = self.schedule.busy_matrix()[
+                    :, earliest:deadline + 1]
+                blocked = (window[self.senders]
+                           | window[self.receivers]).sum(axis=0)
+                lax = ((deadline - earliest - n_rem)
+                       - np.arange(self.width, dtype=np.int64))
+                # lax[i] -= sum(blocked[i+1:]) via a reversed
+                # cumulative sum (the last slot has no suffix).
+                lax[:-1] -= blocked[1:][::-1].cumsum()[::-1]
+                self.lax = lax
+            laxity = int(self.lax[slot - self.earliest])
+        self.probes += 1
+        self.policy._table_hint = self.probes > 1
+        return laxity
+
+    def cell(self, slot: int, rho: float) -> Tuple[int, int]:
+        """The chosen (slot, offset) for a slot feasible at ``rho``."""
+        return (slot, pick_offset(self.schedule, self.reuse_graph,
+                                  self.request.sender,
+                                  self.request.receiver, slot, rho,
+                                  self.policy.offset_rule))

@@ -187,16 +187,26 @@ def _find_slot_vector(schedule: Schedule, reuse_graph: ChannelReuseGraph,
     slot = earliest + rel
     if _obs.ENABLED:
         _note_scan(int(rel + 1 - np.count_nonzero(conflict[:rel + 1])))
+    return (slot, pick_offset(schedule, reuse_graph, request.sender,
+                              request.receiver, slot, rho, offset_rule))
+
+
+def pick_offset(schedule: Schedule, reuse_graph: ChannelReuseGraph,
+                sender: int, receiver: int, slot: int, rho: float,
+                offset_rule: str) -> int:
+    """The offset :func:`find_slot` picks in a slot feasible at ``rho``
+    (vector kernel)."""
+    if rho == NO_REUSE:
+        return schedule.first_free_offset(slot)
     row = _kernel.min_reuse_distance(
-        schedule, reuse_graph, request.sender, request.receiver,
-        slot, slot)[0] >= rho
+        schedule, reuse_graph, sender, receiver, slot, slot)[0] >= rho
     if offset_rule == OFFSET_FIRST:
-        return (slot, int(np.argmax(row)))
+        return int(np.argmax(row))
     offsets = np.flatnonzero(row)
     counts = schedule.occupancy()[0][slot, offsets]
     # argmin returns the first minimum; offsets ascend, so ties break
     # toward the lowest offset like the scalar (cell_size, offset) key.
-    return (slot, int(offsets[int(np.argmin(counts))]))
+    return int(offsets[int(np.argmin(counts))])
 
 
 class PlacementPolicy(Protocol):

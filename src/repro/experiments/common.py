@@ -30,7 +30,7 @@ from repro.flows.generator import (
 )
 from repro.network.graphs import ChannelReuseGraph, CommunicationGraph
 from repro.network.topology import Topology
-from repro.obs.profiling import timed
+from repro.obs.spans import stage
 from repro.routing.traffic import TrafficType, assign_routes
 
 #: Names of the three schedulers compared throughout the paper.
@@ -72,7 +72,7 @@ def prepare_network(topology: Topology, num_channels: Optional[int] = None,
         channels: Explicit physical channel list (overrides num_channels).
         prr_threshold: Communication-graph link admission threshold.
     """
-    with timed("phase.prepare_network"):
+    with stage("prepare_network"):
         if channels is not None:
             restricted = topology.restrict_channels(list(channels))
         elif num_channels is not None:
@@ -109,7 +109,7 @@ def build_workload(network: PreparedNetwork, num_flows: int,
         repro.routing.NoRouteError: If the network cannot route a flow
             (extremely sparse channel-restricted graphs).
     """
-    with timed("phase.build_workload"):
+    with stage("build_workload"):
         flow_set, access_points = generate_flow_set(
             network.topology, network.communication, num_flows, period_range,
             rng, access_points=network.access_points)
@@ -127,5 +127,5 @@ def schedule_workload(network: PreparedNetwork, flow_set: FlowSet,
         num_offsets=network.num_channels,
         reuse_graph=network.reuse,
         policy=make_policy(policy_name, rho_t))
-    with timed("phase.schedule"), timed(f"phase.schedule.{policy_name}"):
+    with stage(f"schedule.{policy_name.lower()}"):
         return scheduler.run(flow_set)

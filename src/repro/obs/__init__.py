@@ -1,4 +1,4 @@
-"""Observability: metrics registry, structured tracing, profiling.
+"""Observability: metrics registry, structured tracing, stage timing.
 
 The layer has three pieces:
 
@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     quantile_from_buckets,
 )
 from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
-from repro.obs.profiling import span, timed
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.recorder import (
     NullRecorder,
@@ -99,9 +98,7 @@ __all__ = [
     "recording",
     "render_openmetrics",
     "render_top",
-    "span",
     "sparkline",
     "stage",
-    "timed",
     "wire_context",
 ]

@@ -4,12 +4,12 @@ Backs the ``python -m repro report`` command: takes the JSON snapshot
 written by ``--metrics-out`` (optionally plus a trace written by
 ``--trace``) and prints the quantities the paper's evaluation cares
 about — placements per policy, RC's reuse-fallback histogram, simulator
-attempt/success totals, and wall time per phase.
+attempt/success totals, and per-stage latency.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 def _fmt(value: float) -> str:
@@ -51,43 +51,39 @@ def _histogram_lines(title: str, data: Dict) -> List[str]:
     return lines
 
 
-def _phase_table(counters: Dict[str, float]) -> List[str]:
-    names = sorted({name[len("time."):-len(".calls")]
-                    for name in counters
-                    if name.startswith("time.") and name.endswith(".calls")})
-    if not names:
-        return []
-    lines = ["wall time per phase:",
-             f"  {'phase':<28} {'calls':>7} {'total s':>9} {'mean ms':>9}"]
-    for name in names:
-        calls = counters.get(f"time.{name}.calls", 0)
-        total = counters.get(f"time.{name}.total_s", 0.0)
-        mean_ms = 1000.0 * total / calls if calls else 0.0
-        lines.append(f"  {name:<28} {_fmt(calls):>7} {total:>9.3f} "
-                     f"{mean_ms:>9.2f}")
-    return lines
+def stage_rows(histograms: Dict[str, Dict],
+               ) -> List[Tuple[str, int, float, Optional[float]]]:
+    """``(stage, count, total s, p99 s)`` per ``span.<stage>.seconds``
+    histogram, largest total first.
 
-
-def _stage_table(histograms: Dict[str, Dict]) -> List[str]:
-    """Request-stage latency from the span layer's side histograms."""
+    The p99 estimate is a bucket bound clamped to the histogram's
+    recorded ``[min, max]``: the bound alone can lie far past every
+    observation (one 1.875 s stage sits in the (1, 5] s bucket).
+    """
     from repro.obs.metrics import quantile_from_buckets
 
-    stages = []
+    rows = []
     for name, data in histograms.items():
         if not (name.startswith("span.") and name.endswith(".seconds")):
             continue
-        stage = name[len("span."):-len(".seconds")]
-        count = int(data["count"])
-        total = float(data["sum"])
         p99 = quantile_from_buckets(data["buckets"], data["counts"], 0.99)
-        stages.append((stage, count, total, p99))
-    if not stages:
+        if p99 is not None and data.get("min") is not None:
+            p99 = min(max(p99, data["min"]), data["max"])
+        rows.append((name[len("span."):-len(".seconds")],
+                     int(data["count"]), float(data["sum"]), p99))
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return rows
+
+
+def _stage_table(histograms: Dict[str, Dict]) -> List[str]:
+    """Per-stage latency from the ``stage()`` histograms."""
+    rows = stage_rows(histograms)
+    if not rows:
         return []
-    stages.sort(key=lambda row: (-row[2], row[0]))
-    lines = ["request stages (from span dump):",
+    lines = ["stages:",
              f"  {'stage':<20} {'count':>7} {'total s':>9} "
              f"{'mean ms':>9} {'p99 ms':>9}"]
-    for stage, count, total, p99 in stages:
+    for stage, count, total, p99 in rows:
         mean_ms = 1000.0 * total / count if count else 0.0
         p99_ms = 1000.0 * p99 if p99 is not None else 0.0
         lines.append(f"  {stage:<20} {_fmt(count):>7} {total:>9.3f} "
@@ -187,10 +183,6 @@ def format_report(snapshot: Dict,
     cache_lines = _cache_table(counters)
     if cache_lines:
         sections.append(cache_lines)
-
-    phase_lines = _phase_table(counters)
-    if phase_lines:
-        sections.append(phase_lines)
 
     if trace_kind_counts is not None:
         lines = ["trace events by kind:"]

@@ -30,8 +30,9 @@ worker inside the request payload, and responses echo
 *Within* a process the current span travels in a
 :class:`contextvars.ContextVar`, so executor stages find their parent
 without threading it through every signature; :func:`stage` is the
-instrumentation-site helper and no-ops (one attribute read, one
-contextvar get) when no span recorder is installed.
+instrumentation-site helper: it always feeds a per-stage histogram
+while the recorder is on, opens a span only under an open trace, and
+no-ops (one attribute read) when the recorder is off.
 
 Tail-based capture
 ------------------
@@ -178,25 +179,35 @@ def activate(span: Optional[ActiveSpan]):
 
 @contextmanager
 def stage(name: str, **attrs):
-    """Instrument one named stage under the current span.
+    """Time one named stage — the one timing primitive.
 
-    The instrumentation-site helper for code deep in the request path
-    (executor verbs): opens a child of the context's current span,
-    makes itself current for the body, and closes with ``ok`` /
-    ``error``.  Yields the :class:`ActiveSpan` (annotate it with cache
-    verdicts etc.) — or ``None``, with zero recording, when the
-    process-wide recorder is off, carries no span layer, or no request
-    span is open (direct library calls, the loadgen shadow executor).
+    Whenever the process-wide recorder is on, the stage's duration
+    feeds the ``span.<name>.seconds`` histogram (the per-stage latency
+    surface ``repro report``, ``repro top`` and OpenMetrics read).
+    Under an open trace — a span layer and a current span — it also
+    opens a child of the current span, makes it current for the body,
+    and closes it with ``ok`` / ``error``; the span's close feeds the
+    same histogram.  Yields the :class:`ActiveSpan` (annotate it with
+    cache verdicts etc.), or ``None`` when no span was opened.  With
+    the recorder off it records nothing and costs one attribute read.
     """
     from repro.obs import recorder as _obs
 
-    spans = _obs.RECORDER.spans if _obs.ENABLED else None
-    parent = _CURRENT.get()
-    if spans is None or parent is None:
+    if not _obs.ENABLED:
         yield None
         return
-    span = spans.start(name, trace_id=parent.trace_id,
-                       parent_id=parent.span_id, attrs=attrs)
+    recorder = _obs.RECORDER
+    parent = _CURRENT.get()
+    if recorder.spans is None or parent is None:
+        start = time.perf_counter()
+        try:
+            yield None
+        finally:
+            recorder.observe(f"span.{name}.seconds",
+                             time.perf_counter() - start, TIME_BUCKETS_S)
+        return
+    span = recorder.spans.start(name, trace_id=parent.trace_id,
+                                parent_id=parent.span_id, attrs=attrs)
     token = _CURRENT.set(span)
     try:
         yield span

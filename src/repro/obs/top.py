@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import quantile_from_buckets
+from repro.obs.report import stage_rows
 from repro.obs.slo import (STATE_ALERT, STATE_OK, STATE_WARN, SloConfig,
                            severity)
 
@@ -235,31 +235,23 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
     if service_lines:
         lines += _panel("service (per batch)", service_lines, width)
 
-    # -- request-stage breakdown ------------------------------------------
-    # Span-layer side histograms (span.<stage>.seconds) land in the
-    # metrics snapshot; like the service panel, this one only appears
-    # when a span-recording run produced them.  The bar is each stage's
-    # share of total recorded stage time.
-    stage_rows = []
-    for name, data in (snapshot or {}).get("histograms", {}).items():
-        if not (name.startswith("span.") and name.endswith(".seconds")):
-            continue
-        stage = name[len("span."):-len(".seconds")]
-        p99 = quantile_from_buckets(data["buckets"], data["counts"], 0.99)
-        stage_rows.append((stage, int(data["count"]),
-                           float(data["sum"]), p99))
-    if stage_rows:
-        stage_rows.sort(key=lambda row: (-row[2], row[0]))
-        grand_total = sum(row[2] for row in stage_rows) or 1.0
+    # -- stage breakdown --------------------------------------------------
+    # stage() histograms (span.<stage>.seconds) land in the metrics
+    # snapshot; like the service panel, this one only appears when a
+    # recording run produced them.  The bar is each stage's share of
+    # total recorded stage time.
+    rows = stage_rows((snapshot or {}).get("histograms", {}))
+    if rows:
+        grand_total = sum(row[2] for row in rows) or 1.0
         stage_lines = []
-        for stage, count, total, p99 in stage_rows:
+        for stage, count, total, p99 in rows:
             mean_ms = 1000.0 * total / count if count else 0.0
             p99_ms = 1000.0 * p99 if p99 is not None else 0.0
             stage_lines.append(
                 f"  {stage:<18} {count:>6}  mean {mean_ms:>8.2f} ms"
                 f"  p99 {p99_ms:>8.2f} ms  "
                 f"{bar(total / grand_total, width=12, ascii_only=ascii_only)}")
-        lines += _panel("request stages", stage_lines, width)
+        lines += _panel("stages", stage_lines, width)
 
     # -- recorder / tracer health ----------------------------------------
     health_lines: List[str] = []

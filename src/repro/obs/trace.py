@@ -19,7 +19,6 @@ kind                      emitted by / meaning
 ``rc_fallback``           RC — reuse distance ρ lowered one step
 ``sim_repetition``        simulator — per-repetition link outcomes
 ``ks_decision``           detection — verdict for one reuse link
-``phase``                 :func:`repro.obs.profiling.span` — timed scope
 ``manager_epoch``         network manager — one closed-loop epoch's
                           health verdicts and remediation action
 ``manager_audit_failed``  network manager — a rebuilt schedule failed

@@ -22,8 +22,9 @@ Semantics per verb:
   pairs, or ``"auto"`` = the smallest not-yet-barred link occupying a
   shared cell) and route the change through the PR 7 incremental repair
   path (:func:`repro.core.repair.repair_schedule`) against the warm
-  schedule; on repair failure fall back to the audited-path full
-  rebuild under a :class:`repro.core.reschedule.ReuseBarrierPolicy`.
+  schedule; on repair failure fall back to a full rebuild under a
+  :class:`repro.core.reschedule.ReuseBarrierPolicy`.  Neither result
+  passes through the auditor.
   A rebuild that still fails keeps the previous schedule live
   (manager-style rollback) and reports ``schedulable: false``.
 * ``explain`` — the offline Section V-A constraint chain for one
@@ -358,9 +359,10 @@ class ServiceExecutor:
             payload.update(repair_mode="repair", schedulable=True,
                            evicted_cells=outcome.evicted)
         else:
-            # Repair could not re-place its blast radius: audited-path
-            # fallback — full rebuild with every barred link (old and
-            # new) held out of shared cells.
+            # Repair could not re-place its blast radius: fall back to
+            # a full rebuild with every barred link (old and new) held
+            # out of shared cells.  Neither path is audited here, unlike
+            # the manager's remediation.
             session.fallbacks += 1
             self.fallbacks += 1
             if _obs.ENABLED:
@@ -441,17 +443,8 @@ class ServiceExecutor:
             environment=environment,
             channel_map=session.prepared.topology.channel_map,
             config=SimulationConfig(seed=sim_seed, engine=engine))
-        with stage("simulate") as sp:
-            stats = simulator.run(repetitions)
-            if sp is not None:
-                resolved = resolve_engine(engine, repetitions)
-                sp.annotate(engine=resolved, repetitions=repetitions)
-                if resolved == "event":
-                    from repro.simulator.events import default_chunk_size
-
-                    chunk = default_chunk_size(simulator.draw_plan,
-                                               repetitions)
-                    sp.annotate(chunks=-(-repetitions // chunk))
+        # The simulator times itself as the "simulate" stage.
+        stats = simulator.run(repetitions)
         per_flow = stats.pdr_per_flow()
         return {
             "repetitions": repetitions,

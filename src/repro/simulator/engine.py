@@ -44,11 +44,12 @@ from repro.core.schedule import Schedule
 from repro.flows.flow import FlowSet
 from repro.mac.channels import ChannelMap
 from repro.obs import recorder as _obs
-from repro.obs.profiling import timed as _timed
+from repro.obs.spans import stage
 from repro.simulator.conditions import Conditions
 from repro.simulator.events import (
     DrawPlan,
     build_draw_plan,
+    default_chunk_size,
     repetition_draws,
     run_event_batched,
 )
@@ -387,10 +388,15 @@ class TschSimulator:
         resolved = resolve_engine(
             engine if engine is not None else self.config.engine,
             repetitions)
-        with _timed("phase.simulate"):
+        with stage("simulate", engine=resolved,
+                   repetitions=repetitions) as span:
             if _obs.ENABLED:
                 _obs.RECORDER.count(f"sim.runs.{resolved}")
             if resolved == ENGINE_EVENT:
+                if span is not None:
+                    chunk = chunk_reps or default_chunk_size(
+                        self._plan, repetitions)
+                    span.annotate(chunks=-(-repetitions // chunk))
                 return run_event_batched(self, repetitions,
                                          start_repetition,
                                          chunk_reps=chunk_reps)

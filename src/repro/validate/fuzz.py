@@ -1,26 +1,23 @@
 """Seeded differential fuzzing of the scheduling and simulation paths.
 
-PRs 2–3 forked every hot path: placements run through a scalar oracle,
-a vectorized kernel, and a fused RC descent, and the simulator runs
-with or without a :class:`~repro.simulator.conditions.Conditions`
-overlay.  This harness generates random synthetic networks + flow sets
-and, for each case:
+Placements run through a scalar oracle or a vectorized kernel (whose
+RC probe fuses Algorithm 1's ρ descent), and the simulator runs with
+or without a :class:`~repro.simulator.conditions.Conditions` overlay.
+This harness generates random synthetic networks + flow sets and, for
+each case:
 
-* asserts **bit-identical schedules** across the forked placement
-  paths — scalar vs. vector kernels for NR / RA / RC, and additionally
-  stepwise vs. fused RC descent for both ``rho_reset`` modes (the fused
-  path is only taken with the vector kernel and observability off, so
-  a vector-kernel run inside ``obs.recording()`` pins the stepwise
-  loop);
+* asserts **bit-identical schedules** across the placement kernels —
+  scalar vs. vector for NR / RA, and for RC under both ``rho_reset``
+  modes;
 * runs the independent auditor (:func:`repro.validate.audit
   .audit_schedule`) over every produced schedule — an audit failure's
   artifact embeds a decision-provenance slice for the violating cells
   (the case is replayed under a live
   :class:`~repro.obs.provenance.ProvenanceRecorder` and decisions
   touching a violation's slot or flow are kept);
-* asserts **bit-identical provenance streams** between the scalar and
-  vector kernels for NR / RA / RC, and that recording provenance does
-  not perturb the schedule itself;
+* asserts **bit-identical provenance streams and counters** between
+  the scalar and vector kernels for NR / RA / RC, and that recording
+  does not perturb the schedule itself;
 * differentially exercises the **incremental repair scheduler**
   (:mod:`repro.core.repair`) on a schedulable result: a deterministic
   victim link is evicted and re-placed via warm-start repair under both
@@ -323,7 +320,7 @@ def _check_differential_schedules(case: FuzzCaseResult,
                                   flow_set: FlowSet, rho_t: int,
                                   plain_signatures: Dict[str, Tuple],
                                   ) -> Optional[SchedulingResult]:
-    """The scalar/vector and stepwise/fused equivalence matrix.
+    """The scalar/vector equivalence matrix.
 
     Fills ``plain_signatures`` with each policy's provenance-free
     schedule signature (the reference the provenance-parity check
@@ -362,29 +359,20 @@ def _check_differential_schedules(case: FuzzCaseResult,
 
         with _kernel.kernel_mode(_kernel.KERNEL_SCALAR):
             scalar = _run_scheduler(network, flow_set, rc_policy())
-        # Vector kernel + observability off takes the fused descent.
         with _kernel.kernel_mode(_kernel.KERNEL_VECTOR):
-            fused = _run_scheduler(network, flow_set, rc_policy())
-        # Vector kernel + a live recorder pins the stepwise loop.
-        with _kernel.kernel_mode(_kernel.KERNEL_VECTOR), \
-                _obs.recording(Recorder()):
-            stepwise = _run_scheduler(network, flow_set, rc_policy())
+            vector = _run_scheduler(network, flow_set, rc_policy())
 
         label = f"RC[{rho_reset}]"
-        if _schedule_signature(scalar) != _schedule_signature(fused):
+        if _schedule_signature(scalar) != _schedule_signature(vector):
             case.fail("kernel_equivalence",
-                      f"{label}: scalar stepwise and vector fused runs "
-                      f"produced different schedules")
-        if _schedule_signature(fused) != _schedule_signature(stepwise):
-            case.fail("rc_fused_equivalence",
-                      f"{label}: fused and stepwise descents produced "
+                      f"{label}: scalar and vector kernels produced "
                       f"different schedules")
-        _audit_result(case, f"{label}/fused", network, flow_set, fused,
+        _audit_result(case, f"{label}/vector", network, flow_set, vector,
                       rho_floor=rho_t, policy_factory=rc_policy)
-        if fused.schedulable:
-            best_schedulable = fused
+        if vector.schedulable:
+            best_schedulable = vector
         if rho_reset == RHO_RESET_TRANSMISSION:
-            plain_signatures["RC"] = _schedule_signature(stepwise)
+            plain_signatures["RC"] = _schedule_signature(vector)
     return best_schedulable
 
 
@@ -394,26 +382,33 @@ def _check_provenance_parity(case: FuzzCaseResult, network: PreparedNetwork,
     """Scalar and vector kernels must narrate placement identically.
 
     For each policy, both kernel modes run under a live
-    :class:`ProvenanceRecorder`; the recorded decision streams must be
-    bit-identical, and the schedules must match both each other and the
-    provenance-free run of the same policy (recording is an observer,
-    not a participant).
+    :class:`ProvenanceRecorder`; the recorded decision streams and the
+    counters must be bit-identical, and the schedules must match both
+    each other and the recorder-off run of the same policy (recording
+    is an observer, not a participant).
     """
     for name in ("NR", "RA", "RC"):
         streams = {}
+        counters = {}
         signatures = {}
         for mode in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR):
             prov = ProvenanceRecorder()
             with _kernel.kernel_mode(mode), \
-                    _obs.recording(Recorder(provenance=prov)):
+                    _obs.recording(Recorder(provenance=prov)) as rec:
                 result = _run_scheduler(network, flow_set,
                                         make_policy(name, rho_t))
             streams[mode] = prov.records()
+            counters[mode] = rec.snapshot()["counters"]
             signatures[mode] = _schedule_signature(result)
         if streams[_kernel.KERNEL_SCALAR] != streams[_kernel.KERNEL_VECTOR]:
             case.fail("provenance_parity",
                       f"{name}: scalar and vector kernels recorded "
                       f"different provenance streams")
+        if counters[_kernel.KERNEL_SCALAR] != \
+                counters[_kernel.KERNEL_VECTOR]:
+            case.fail("counter_parity",
+                      f"{name}: scalar and vector kernels recorded "
+                      f"different counters")
         if signatures[_kernel.KERNEL_SCALAR] != \
                 signatures[_kernel.KERNEL_VECTOR]:
             case.fail("provenance_schedule_identity",

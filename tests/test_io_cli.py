@@ -211,7 +211,10 @@ class TestCliObservability:
         assert counters["scheduler.placements"] > 0
         for policy in ("NR", "RA", "RC"):
             assert counters[f"policy.{policy}.runs"] == 1
-        assert "time.phase.schedule.calls" in counters
+        stages = snapshot["histograms"]
+        for policy in ("nr", "ra", "rc"):
+            assert stages[f"span.schedule.{policy}.seconds"]["count"] == 1
+        assert stages["span.prepare_network.seconds"]["count"] >= 1
 
     def test_report_command(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
@@ -225,7 +228,8 @@ class TestCliObservability:
         out = capsys.readouterr().out
         assert "scheduler:" in out
         assert "policies:" in out
-        assert "wall time per phase:" in out
+        assert "stages:" in out
+        assert "schedule.rc" in out
         assert "trace events by kind:" in out
 
     def test_report_missing_metrics_fails_cleanly(self, tmp_path, capsys):

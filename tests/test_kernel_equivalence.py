@@ -1,7 +1,7 @@
 """Vectorized kernel vs scalar reference: exact-equivalence tests.
 
-The vector kernel (incremental per-link distance stacks, fused RC
-descent) must be bit-for-bit interchangeable with the scalar reference
+The vector kernel (incremental per-link distance stacks, RC's fused
+ρ-descent probe) must be bit-for-bit interchangeable with the scalar reference
 path — same feasible offsets, same ``find_slot`` answers, same final
 schedules, same work counters.  These tests drive both implementations
 over seeded randomized schedules and full scheduler runs and demand
@@ -25,7 +25,11 @@ from repro.core.kernel import (
     kernel_mode,
     min_reuse_distance,
 )
-from repro.core.rc import RHO_RESET_FLOW, RHO_RESET_TRANSMISSION
+from repro.core.rc import (
+    ConservativeReusePolicy,
+    RHO_RESET_FLOW,
+    RHO_RESET_TRANSMISSION,
+)
 from repro.core.reschedule import reschedule_without_reuse_on
 from repro.core.schedule import Schedule
 from repro.core.scheduler import (
@@ -42,6 +46,7 @@ from repro.experiments.common import (
 )
 from repro.flows.generator import PeriodRange
 from repro.network.graphs import ChannelReuseGraph
+from repro.obs.provenance import ProvenanceRecorder
 from repro.routing.traffic import TrafficType
 
 NUM_SLOTS = 40
@@ -160,6 +165,32 @@ class TestFindSlot:
             assert results[KERNEL_SCALAR] == results[KERNEL_VECTOR]
 
 
+class TestRcClosedWindow:
+    def test_exhausted_descent_matches_reference(self, reuse_graph):
+        """earliest > deadline: every probe misses, and both kernels
+        walk the same descent, persist the same clamped ρ, and record
+        the same counters and provenance."""
+        request = TransmissionRequest(0, 0, 0, 0, sender=0, receiver=7,
+                                      release_slot=0, deadline_slot=5)
+        outcomes = {}
+        for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
+            schedule = _random_schedule(reuse_graph, seed=3)
+            policy = ConservativeReusePolicy(rho_t=2,
+                                             rho_reset=RHO_RESET_FLOW)
+            prov = ProvenanceRecorder()
+            with kernel_mode(kernel), \
+                    obs.recording(obs.Recorder(provenance=prov)) as rec:
+                prov.begin_decision("RC", request, 6)
+                placed = policy.place(schedule, reuse_graph, request, 6, [])
+                prov.end_decision(placed)
+            outcomes[kernel] = (placed, policy._rho,
+                                rec.snapshot()["counters"], prov.records())
+        assert outcomes[KERNEL_SCALAR] == outcomes[KERNEL_VECTOR]
+        placed, rho, counters, _ = outcomes[KERNEL_VECTOR]
+        assert placed is None and rho == 2
+        assert counters["rc.reuse_fallbacks"] > 0
+
+
 def _run_signature(network, flow_set, policy_name, kernel, rho_t=2,
                    **policy_kwargs):
     """(placements, counters) of one scheduler run under a kernel."""
@@ -219,24 +250,42 @@ class TestFullRunEquivalence:
                                 offset_rule=offset_rule)
         assert scalar == vector
 
-    def test_rc_fused_path_matches_stepwise(self, figure1_workload):
-        """Obs off engages the fused RC descent; placements must match
-        the instrumented (stepwise) vector path exactly."""
+    def test_rc_under_recorder_skips_stepwise_path(self, figure1_workload,
+                                                   monkeypatch):
+        """A live recorder observes the vector probe; it never switches
+        RC to the findSlot/calculateLaxity loop, and the schedule equals
+        the recorder-off run for both ρ reset scopes."""
+        import repro.core.rc as rc_module
+
         network, flow_set = figure1_workload
-        _, stepwise, _ = _run_signature(network, flow_set, "RC",
-                                        KERNEL_VECTOR)
-        policy = make_policy("RC", 2)
-        scheduler = FixedPriorityScheduler(
-            num_nodes=network.topology.num_nodes,
-            num_offsets=network.num_channels,
-            reuse_graph=network.reuse, policy=policy)
-        with kernel_mode(KERNEL_VECTOR):
-            result = scheduler.run(flow_set)  # obs disabled -> fused
-        fused = [
-            (e.request.flow_id, e.request.instance, e.request.hop_index,
-             e.request.attempt, e.slot, e.offset)
-            for e in result.schedule.entries]
-        assert fused == stepwise
+        for rho_reset in (RHO_RESET_TRANSMISSION, RHO_RESET_FLOW):
+            def run():
+                scheduler = FixedPriorityScheduler(
+                    num_nodes=network.topology.num_nodes,
+                    num_offsets=network.num_channels,
+                    reuse_graph=network.reuse,
+                    policy=ConservativeReusePolicy(rho_t=2,
+                                                   rho_reset=rho_reset))
+                with kernel_mode(KERNEL_VECTOR):
+                    result = scheduler.run(flow_set)
+                return [(e.request.flow_id, e.request.instance,
+                         e.request.hop_index, e.request.attempt, e.slot,
+                         e.offset) for e in result.schedule.entries]
+
+            off = run()
+            stepwise_calls = []
+            with monkeypatch.context() as patch:
+                for name in ("find_slot", "calculate_laxity"):
+                    patch.setattr(rc_module, name,
+                                  lambda *args, name=name, **kwargs:
+                                  stepwise_calls.append(name))
+                with obs.recording() as recorder:
+                    on = run()
+            assert stepwise_calls == []
+            assert on == off
+            # The descent really ran below ρ = ∞ while recorded.
+            counters = recorder.snapshot()["counters"]
+            assert counters["rc.reuse_fallbacks"] > 0
 
 
 def _reschedule_signature(network, flow_set, victims, kernel,

@@ -232,28 +232,20 @@ class TestRecorderRuntime:
                 assert obs.get_recorder() is inner_rec
             assert obs.get_recorder() is outer
 
-    def test_timed_records_calls_and_totals(self):
+    def test_stage_feeds_histogram_without_trace(self):
         with obs.recording() as recorder:
-            with obs.timed("unit.test"):
-                pass
-        counters = recorder.snapshot()["counters"]
-        assert counters["time.unit.test.calls"] == 1
-        assert counters["time.unit.test.total_s"] >= 0.0
+            with obs.stage("unit.test") as span:
+                assert span is None  # no open trace, so no span
+        histogram = recorder.snapshot()["histograms"][
+            "span.unit.test.seconds"]
+        assert histogram["count"] == 1
+        assert histogram["sum"] >= 0.0
+        assert recorder.tracer.events() == []
 
-    def test_timed_is_noop_when_disabled(self):
-        with obs.timed("unit.noop"):
+    def test_stage_is_noop_when_disabled(self):
+        with obs.stage("unit.noop"):
             pass
-        assert obs.get_recorder().snapshot()["counters"] == {}
-
-    def test_span_emits_phase_event(self):
-        with obs.recording() as recorder:
-            with obs.span("unit.span", point=3):
-                pass
-        (event,) = recorder.tracer.events()
-        assert event.kind == "phase"
-        assert event.fields["name"] == "unit.span"
-        assert event.fields["point"] == 3
-        assert event.fields["duration_s"] >= 0.0
+        assert obs.get_recorder().snapshot()["histograms"] == {}
 
 
 # ----------------------------------------------------------------------
@@ -385,16 +377,33 @@ class TestPersistenceAndReport:
         registry.inc("sim.successes", 9)
         registry.inc("detection.ks_tests", 4)
         registry.inc("detection.verdict.reject", 2)
-        registry.inc("time.phase.schedule.calls", 2)
-        registry.inc("time.phase.schedule.total_s", 0.5)
+        registry.observe("span.schedule.rc.seconds", 0.25,
+                         obs.TIME_BUCKETS_S)
+        registry.observe("span.schedule.rc.seconds", 0.25,
+                         obs.TIME_BUCKETS_S)
         registry.observe("rc.fallback_rho", 2, buckets=(1, 2, 3))
         text = format_report(registry.snapshot(), {"placement": 40})
         assert "slots scanned" in text
         assert "RC" in text and "40" in text
         assert "attempt success rate" in text and "0.9" in text
         assert "verdict reject" in text
-        assert "phase.schedule" in text
+        assert "schedule.rc" in text
         assert "placement" in text
+
+    def test_stage_p99_clamped_to_observed_range(self):
+        """A bucket bound is no quantile: one 1.875 s stage lands in the
+        (1, 5] s bucket, but p99 must not read 5000 ms."""
+        from repro.obs.timeseries import TimeSeriesStore
+        from repro.obs.top import render_top
+
+        registry = MetricsRegistry()
+        registry.observe("span.compile.seconds", 1.875, obs.TIME_BUCKETS_S)
+        snapshot = registry.snapshot()
+        (row,) = [line for line in format_report(snapshot).splitlines()
+                  if line.strip().startswith("compile")]
+        assert row.split()[-1] == "1875.00"
+        frame = render_top(TimeSeriesStore(), snapshot, ascii_only=True)
+        assert "p99  1875.00 ms" in frame
 
     def test_format_report_empty(self):
         assert "empty" in format_report(

@@ -673,7 +673,7 @@ class TestReportMergesWorkerFiles:
         # Hit/miss counters merged too: 6 hits / 3 misses.
         assert "0.667" in out
         # Stage table from the merged span histograms (3 observations).
-        assert "request stages" in out
+        assert "stages:" in out
         assert "compile" in out
         # Trailer kinds excluded from the per-kind table, but counted
         # into the dropped tally.
@@ -719,7 +719,7 @@ class TestTopStagePanel:
                          (0.01, 0.1, 1.0))
         frame = render_top(TimeSeriesStore(),
                            registry.snapshot(), ascii_only=True)
-        assert "request stages" in frame
+        assert "── stages" in frame
         compile_line = next(l for l in frame.splitlines()
                             if "compile" in l)
         assert "mean" in compile_line and "p99" in compile_line
@@ -732,4 +732,4 @@ class TestTopStagePanel:
 
         frame = render_top(TimeSeriesStore(), {"histograms": {}},
                            ascii_only=True)
-        assert "request stages" not in frame
+        assert "── stages" not in frame
